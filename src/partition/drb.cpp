@@ -47,11 +47,13 @@ std::vector<int> task_order(const jobgraph::JobGraph& job) {
 class Mapper {
  public:
   Mapper(const jobgraph::JobGraph& job, const topo::TopologyGraph& topology,
-         const DrbCallbacks& callbacks, const DrbOptions& options)
+         const DrbCallbacks& callbacks, const DrbOptions& options,
+         BipartitionMemo* memo)
       : job_(job),
         topology_(topology),
         callbacks_(callbacks),
-        options_(options) {}
+        options_(options),
+        memo_(memo) {}
 
   DrbResult run(const std::vector<int>& available_gpus) {
     result_.assignment.assign(static_cast<size_t>(job_.task_count()), -1);
@@ -92,8 +94,8 @@ class Mapper {
       result_.assignment[static_cast<size_t>(tasks.front())] = gpus.front();
       return;
     }
-    const std::vector<int> side = physical_bipartition(gpus, topology_,
-                                                       &result_.stats);
+    const std::vector<int> side =
+        physical_bipartition(gpus, topology_, &result_.stats, memo_);
     std::vector<int> gpus0;
     std::vector<int> gpus1;
     for (size_t i = 0; i < gpus.size(); ++i) {
@@ -242,6 +244,7 @@ class Mapper {
   const topo::TopologyGraph& topology_;
   const DrbCallbacks& callbacks_;
   const DrbOptions options_;
+  BipartitionMemo* memo_;
   DrbResult result_;
 };
 
@@ -254,32 +257,12 @@ std::vector<int> DrbResult::gpus() const {
 
 std::vector<int> physical_bipartition(const std::vector<int>& gpus,
                                       const topo::TopologyGraph& topology,
-                                      DrbStats* stats) {
+                                      DrbStats* stats, BipartitionMemo* memo) {
   const int n = static_cast<int>(gpus.size());
   GTS_CHECK_GE(n, 2);
 
-  // Closeness graph: weight = (D + 1) - distance, D = max pairwise distance
-  // within this GPU set. Close pairs get heavy edges; FM's mincut then cuts
-  // across the widest topological separation.
-  double max_distance = 0.0;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      max_distance = std::max(
-          max_distance, topology.gpu_distance(gpus[static_cast<size_t>(i)],
-                                              gpus[static_cast<size_t>(j)]));
-    }
-  }
-  FmGraph graph;
-  graph.vertex_count = n;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      const double closeness =
-          max_distance + 1.0 -
-          topology.gpu_distance(gpus[static_cast<size_t>(i)],
-                                gpus[static_cast<size_t>(j)]);
-      if (closeness > 0.0) graph.edges.push_back({i, j, closeness});
-    }
-  }
+  std::vector<double> distances;
+  topology.distances_among(gpus, distances);
 
   // Hierarchical initial partition: split whole machines when the set spans
   // machines, else whole sockets, else halves by GPU id.
@@ -327,18 +310,56 @@ std::vector<int> physical_bipartition(const std::vector<int>& gpus,
     for (int i = 0; i < n / 2; ++i) initial[static_cast<size_t>(i)] = 0;
   }
 
+  const auto record = [stats](int fm_passes, double cut) {
+    GTS_METRIC_COUNT("drb.bipartitions", 1);
+    GTS_METRIC_COUNT("fm.passes", fm_passes);
+    GTS_METRIC_HISTOGRAM("drb.cut_cost", cut, obs::cost_bounds());
+    if (stats != nullptr) {
+      ++stats->bipartitions;
+      stats->fm_passes += fm_passes;
+    }
+  };
+
+  BipartitionMemoKey key;
+  if (memo != nullptr) {
+    key = bipartition_memo_key(distances, initial);
+    GTS_METRIC_COUNT("fm.memo_lookups", 1);
+    if (const BipartitionMemo::Entry* hit = memo->find(key)) {
+      GTS_METRIC_COUNT("fm.memo_hits", 1);
+      record(hit->fm_passes, hit->cut_weight);
+      return std::vector<int>(hit->side.begin(), hit->side.end());
+    }
+  }
+
+  // Closeness graph: weight = (D + 1) - distance, D = max pairwise distance
+  // within this GPU set. Close pairs get heavy edges; FM's mincut then cuts
+  // across the widest topological separation.
+  double max_distance = 0.0;
+  for (const double distance : distances) {
+    max_distance = std::max(max_distance, distance);
+  }
+  FmGraph graph;
+  graph.vertex_count = n;
+  graph.edges.reserve(distances.size());
+  size_t pair = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double closeness = max_distance + 1.0 - distances[pair++];
+      if (closeness > 0.0) graph.edges.push_back({i, j, closeness});
+    }
+  }
+
   obs::SpanGuard fm_span(obs::kFm, "fm.bipartition");
   fm_span.arg("vertices", n);
   FmResult fm = fm_bipartition(graph, std::move(initial), FmOptions{});
   fm_span.arg("passes", fm.passes)
       .arg("cut", fm.cut_weight)
       .arg("gain", fm.initial_cut - fm.cut_weight);
-  GTS_METRIC_COUNT("drb.bipartitions", 1);
-  GTS_METRIC_COUNT("fm.passes", fm.passes);
-  GTS_METRIC_HISTOGRAM("drb.cut_cost", fm.cut_weight, obs::cost_bounds());
-  if (stats != nullptr) {
-    ++stats->bipartitions;
-    stats->fm_passes += fm.passes;
+  record(fm.passes, fm.cut_weight);
+  if (memo != nullptr) {
+    memo->insert(key, {std::vector<std::uint8_t>(fm.side.begin(),
+                                                 fm.side.end()),
+                       fm.passes, fm.cut_weight});
   }
   return std::move(fm.side);
 }
@@ -346,8 +367,9 @@ std::vector<int> physical_bipartition(const std::vector<int>& gpus,
 DrbResult drb_map(const jobgraph::JobGraph& job,
                   const std::vector<int>& available_gpus,
                   const topo::TopologyGraph& topology,
-                  const DrbCallbacks& callbacks, const DrbOptions& options) {
-  Mapper mapper(job, topology, callbacks, options);
+                  const DrbCallbacks& callbacks, const DrbOptions& options,
+                  BipartitionMemo* memo) {
+  Mapper mapper(job, topology, callbacks, options, memo);
   return mapper.run(available_gpus);
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "jobgraph/jobgraph.hpp"
+#include "partition/bipartition_memo.hpp"
 #include "topo/topology.hpp"
 
 namespace gts::partition {
@@ -66,6 +67,9 @@ struct DrbOptions {
   SpanMode span = SpanMode::kPreferPack;
 };
 
+/// Logical bipartition work: a physical bipartition served from a
+/// BipartitionMemo counts exactly as if FM had run (one bipartition plus
+/// the stored pass count), so the figures do not depend on the memo.
 struct DrbStats {
   int bipartitions = 0;   // physical bipartition invocations
   int fm_passes = 0;      // total FM passes across bipartitions
@@ -85,17 +89,26 @@ struct DrbResult {
 
 /// Maps every task of `job` onto a distinct GPU from `available_gpus`.
 /// `available_gpus` are global GPU indices into `topology` (the output of
-/// the scheduler's host-filtering step, i.e. the graph P').
+/// the scheduler's host-filtering step, i.e. the graph P'). `memo`, when
+/// given, serves repeated physical bipartitions (see physical_bipartition).
 DrbResult drb_map(const jobgraph::JobGraph& job,
                   const std::vector<int>& available_gpus,
                   const topo::TopologyGraph& topology,
-                  const DrbCallbacks& callbacks, const DrbOptions& options = {});
+                  const DrbCallbacks& callbacks, const DrbOptions& options = {},
+                  BipartitionMemo* memo = nullptr);
 
 /// Bipartitions a GPU set by topology closeness: hierarchical initial split
 /// (machines, then sockets, then halves) refined with FM. Exposed for tests
 /// and the overhead bench. Returns side (0/1) per position in `gpus`.
+///
+/// With a `memo`, FM runs (and the closeness graph is built) only on a
+/// miss; a hit returns the stored sides, which are identical to what FM
+/// would compute. Stats and the drb.bipartitions / fm.passes counters
+/// count a hit as a full bipartition; the fm.bipartition span covers only
+/// real FM runs, and fm.memo_lookups / fm.memo_hits count memo traffic.
 std::vector<int> physical_bipartition(const std::vector<int>& gpus,
                                       const topo::TopologyGraph& topology,
-                                      DrbStats* stats = nullptr);
+                                      DrbStats* stats = nullptr,
+                                      BipartitionMemo* memo = nullptr);
 
 }  // namespace gts::partition

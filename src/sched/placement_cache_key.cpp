@@ -1,31 +1,10 @@
 #include "sched/placement_cache_key.hpp"
 
+#include "util/fnv.hpp"
+
 namespace gts::sched {
 
 namespace {
-
-/// Two independent FNV-1a 64-bit accumulators fed the same byte stream.
-class Fnv128 {
- public:
-  void bytes(const void* data, size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      h1_ = (h1_ ^ p[i]) * kPrime;
-      h2_ = (h2_ ^ p[i]) * kPrime;
-    }
-  }
-  void add_int(int value) { bytes(&value, sizeof(value)); }
-  void add_double(double value) { bytes(&value, sizeof(value)); }
-
-  std::uint64_t h1() const noexcept { return h1_; }
-  std::uint64_t h2() const noexcept { return h2_; }
-
- private:
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-  static constexpr std::uint64_t kBasis = 14695981039346656037ULL;
-  std::uint64_t h1_ = kBasis;
-  std::uint64_t h2_ = kBasis ^ 0x9e3779b97f4a7c15ULL;  // independent basis
-};
 
 void key_append(std::string* key, const void* bytes, size_t size) {
   key->append(static_cast<const char*>(bytes), size);
@@ -78,7 +57,7 @@ struct StringSink {
 
 PlacementCacheKey hashed_placement_cache_key(
     const jobgraph::JobRequest& request, const std::vector<int>& available) {
-  Fnv128 fnv;
+  util::Fnv128 fnv;
   stream_key_fields(fnv, request, available);
   PlacementCacheKey key;
   key.h1 = fnv.h1();

@@ -53,15 +53,17 @@ std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
                                    const std::vector<int>& available,
                                    const cluster::ClusterState& state,
                                    const UtilityModel& utility,
-                                   partition::DrbStats* stats) {
+                                   partition::DrbStats* stats,
+                                   partition::BipartitionMemo* memo) {
   obs::SpanGuard span(obs::kDrb, "drb.map");
   span.arg("tasks", request.num_gpus)
       .arg("available", static_cast<double>(available.size()));
   const TaskUtility callbacks(request, state, utility);
   partition::DrbOptions options;
   options.span = span_mode(request.profile);
-  partition::DrbResult result = partition::drb_map(
-      request.comm_graph, available, state.topology(), callbacks, options);
+  partition::DrbResult result =
+      partition::drb_map(request.comm_graph, available, state.topology(),
+                         callbacks, options, memo);
   if (stats != nullptr) {
     stats->bipartitions += result.stats.bipartitions;
     stats->fm_passes += result.stats.fm_passes;
@@ -121,8 +123,9 @@ void TopoAwareScheduler::refresh_cache_epoch(
 std::optional<Placement> TopoAwareScheduler::map_onto(
     const jobgraph::JobRequest& request, const std::vector<int>& available,
     const cluster::ClusterState& state) {
+  partition::BipartitionMemo* const memo = memo_ ? &*memo_ : nullptr;
   if (!cache_enabled_) {
-    return drb_place(request, available, state, utility_, &stats_);
+    return drb_place(request, available, state, utility_, &stats_, memo);
   }
 
   refresh_cache_epoch(state);
@@ -145,7 +148,7 @@ std::optional<Placement> TopoAwareScheduler::map_onto(
       return replay_cache_entry(it->second, request);
     }
     std::optional<Placement> placement =
-        drb_place(request, available, state, utility_, &stats_);
+        drb_place(request, available, state, utility_, &stats_, memo);
     string_cache_.emplace(key, record(placement));
     return placement;
   }
@@ -155,7 +158,7 @@ std::optional<Placement> TopoAwareScheduler::map_onto(
     return replay_cache_entry(it->second, request);
   }
   std::optional<Placement> placement =
-      drb_place(request, available, state, utility_, &stats_);
+      drb_place(request, available, state, utility_, &stats_, memo);
   cache_.emplace(key, record(placement));
   return placement;
 }
@@ -262,9 +265,10 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
   //   2. score  (workers): the independent DRB + utility evaluations of
   //      the misses, chunked deterministically. Workers see no scheduler
   //      state: each writes one slot's placement + DrbStats, FmScratch
-  //      comes from the worker's thread-local arena, and the thread-local
-  //      DecisionScope is null off the decision thread, so explain
-  //      entries cannot be emitted out of order;
+  //      comes from the worker's thread-local arena, workers run FM
+  //      without the decision thread's bipartition memo, and the
+  //      thread-local DecisionScope is null off the decision thread, so
+  //      explain entries cannot be emitted out of order;
   //   3. reduce (decision thread): cache inserts, stats folds, explain
   //      replay and the first-maximum reduction, all in candidate order.
   struct Slot {

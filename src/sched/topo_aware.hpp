@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -40,12 +41,14 @@ struct PlacementCacheStats {
 /// Maps `request` onto the `available` GPUs with the utility-driven DRB
 /// (Algorithms 2/3) and evaluates the resulting placement. The building
 /// block behind TopoAwareScheduler and external integrations (the
-/// Kubernetes shim); `stats`, when given, accumulates DRB counters.
+/// Kubernetes shim); `stats`, when given, accumulates DRB counters, and
+/// `memo`, when given, serves repeated FM bipartitions.
 std::optional<Placement> drb_place(const jobgraph::JobRequest& request,
                                    const std::vector<int>& available,
                                    const cluster::ClusterState& state,
                                    const UtilityModel& utility,
-                                   partition::DrbStats* stats = nullptr);
+                                   partition::DrbStats* stats = nullptr,
+                                   partition::BipartitionMemo* memo = nullptr);
 
 class TopoAwareScheduler final : public Scheduler {
  public:
@@ -70,7 +73,8 @@ class TopoAwareScheduler final : public Scheduler {
   const UtilityModel& utility_model() const noexcept { return utility_; }
 
   /// Cumulative DRB statistics (for the Section 5.5.3 overhead analysis).
-  /// Cache hits skip the DRB entirely and do not accumulate here.
+  /// Cache hits skip the DRB entirely and do not accumulate here;
+  /// bipartition memo hits count as full bipartitions.
   const partition::DrbStats& drb_stats() const noexcept { return stats_; }
 
   /// Memoized placement evaluation. Within one allocation epoch of the
@@ -98,6 +102,23 @@ class TopoAwareScheduler final : public Scheduler {
     return cache_stats_;
   }
 
+  /// The exact FM bipartition memo (DESIGN.md §15): unlike the placement
+  /// cache it reads no cluster state, so it outlives allocation epochs and
+  /// is bounded by a fixed capacity instead of flushed. Decisions and
+  /// drb_stats() are identical with and without it (memo_test).
+  partition::BipartitionMemoStats memo_stats() const noexcept {
+    const util::SerialGuard guard(cache_serial_);
+    return memo_ ? memo_->stats() : partition::BipartitionMemoStats{};
+  }
+
+  /// Test seam: replace the bipartition memo with an empty one holding at
+  /// most `capacity` entries; 0 runs every bipartition through FM.
+  void set_bipartition_memo_capacity_for_test(std::size_t capacity) {
+    const util::SerialGuard guard(cache_serial_);
+    memo_.reset();
+    if (capacity > 0) memo_.emplace(capacity);
+  }
+
   /// Test seam: key the cache by the legacy byte-string serialization
   /// instead of the 128-bit FNV-1a key. The equivalence suite runs the
   /// same trace in both modes and asserts byte-identical decisions.
@@ -115,7 +136,8 @@ class TopoAwareScheduler final : public Scheduler {
   /// and cache counters stay byte-identical to serial: cache probes and
   /// all reduction/bookkeeping run on the decision thread in candidate
   /// order, workers only compute independent (candidate -> placement)
-  /// evaluations with their own DrbStats and thread-local FmScratch.
+  /// evaluations with their own DrbStats and thread-local FmScratch, and
+  /// without the bipartition memo, which only the decision thread uses.
   void set_parallel_scoring(int threads) override;
   /// Worker count of the scoring pool; 0 when scoring serially.
   int scoring_threads() const noexcept {
@@ -178,6 +200,10 @@ class TopoAwareScheduler final : public Scheduler {
       cache_ GTS_GUARDED_BY(cache_serial_);
   std::unordered_map<std::string, CacheEntry> string_cache_
       GTS_GUARDED_BY(cache_serial_);  // test oracle
+  /// Serial-path bipartition memo; parallel scoring workers run without
+  /// one, so it is never touched off the decision thread.
+  std::optional<partition::BipartitionMemo> memo_
+      GTS_GUARDED_BY(cache_serial_) = partition::BipartitionMemo();
   std::uint64_t cache_state_id_ GTS_GUARDED_BY(cache_serial_) =
       0;  // ClusterState::instance_id (0: none)
   std::uint64_t cache_version_ GTS_GUARDED_BY(cache_serial_) = ~0ULL;

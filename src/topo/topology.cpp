@@ -431,6 +431,41 @@ double TopologyGraph::gpu_distance(int gpu_a, int gpu_b) const {
                          gpu_local_index_[static_cast<size_t>(gpu_b)])];
 }
 
+void TopologyGraph::distances_among(const std::vector<int>& gpus,
+                                    std::vector<double>& out) const {
+  const size_t n = gpus.size();
+  out.resize(n < 2 ? 0 : n * (n - 1) / 2);
+  ensure_paths();
+  size_t cell = 0;
+  if (!hierarchical_paths_) {
+    const size_t stride = static_cast<size_t>(gpu_count());
+    for (size_t i = 0; i < n; ++i) {
+      const double* row =
+          gpu_dist_.data() + static_cast<size_t>(gpus[i]) * stride;
+      for (size_t j = i + 1; j < n; ++j) {
+        out[cell++] = row[static_cast<size_t>(gpus[j])];
+      }
+    }
+    return;
+  }
+  // Same arithmetic as gpu_distance: root distances summed a + b across
+  // machines, the machine's dense block within one.
+  for (size_t i = 0; i < n; ++i) {
+    const size_t a = static_cast<size_t>(gpus[i]);
+    const int machine = gpu_machine_[a];
+    const size_t m = static_cast<size_t>(machine);
+    const double* block =
+        intra_dist_.data() + static_cast<size_t>(machine_dist_offset_[m]) +
+        static_cast<size_t>(gpu_local_index_[a]) * machine_gpus_[m].size();
+    for (size_t j = i + 1; j < n; ++j) {
+      const size_t b = static_cast<size_t>(gpus[j]);
+      out[cell++] = gpu_machine_[b] != machine
+                        ? root_dist_[a] + root_dist_[b]
+                        : block[static_cast<size_t>(gpu_local_index_[b])];
+    }
+  }
+}
+
 double TopologyGraph::max_gpu_distance() const {
   ensure_paths();
   return max_gpu_distance_;

@@ -163,6 +163,12 @@ class TopologyGraph {
   /// dense limit) — no path object or hash lookup on this, the single
   /// hottest call of the decision path.
   double gpu_distance(int gpu_a, int gpu_b) const;
+  /// All i<j pairwise distances of `gpus` in one pass, row-major over the
+  /// upper triangle: out = [d(0,1), d(0,2), ..., d(0,n-1), d(1,2), ...].
+  /// `out` is resized to n(n-1)/2; each value is bitwise equal to
+  /// gpu_distance(gpus[i], gpus[j]).
+  void distances_among(const std::vector<int>& gpus,
+                       std::vector<double>& out) const;
   /// Largest pairwise GPU distance in the graph; used to normalize
   /// communication cost against the worst case (Eq. 1).
   double max_gpu_distance() const;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cluster/recorder.hpp"
+#include "oracles/fm_reference.hpp"
 #include "partition/drb.hpp"
 #include "partition/fm.hpp"
 #include "perf/model.hpp"
@@ -96,7 +97,7 @@ TEST(FmBucketListTest, MatchesReferenceOn200RandomGraphsTimes8Seeds) {
       const partition::FmResult bucket =
           partition::fm_bipartition(graph, initial, options, &scratch);
       const partition::FmResult reference =
-          partition::fm_bipartition_reference(graph, initial, options);
+          oracles::fm_bipartition_reference(graph, initial, options);
       expect_same_result(bucket, reference,
                          "seed " + std::to_string(seed) + " graph " +
                              std::to_string(graph_index));
@@ -137,7 +138,7 @@ TEST(FmBucketListTest, MatchesReferenceOnDegenerateGraphs) {
          {partition::FmOptions{}, partition::FmOptions{8, 1, 0.5}}) {
       expect_same_result(
           partition::fm_bipartition(*graph, initial, options, &scratch),
-          partition::fm_bipartition_reference(*graph, initial, options),
+          oracles::fm_bipartition_reference(*graph, initial, options),
           "degenerate case " + std::to_string(case_index));
     }
     ++case_index;
@@ -166,7 +167,7 @@ TEST(FmBucketListTest, ConcurrentScratchReuseIsRaceFree) {
         const partition::FmResult bucket =
             partition::fm_bipartition(graph, initial, {}, arena);
         const partition::FmResult reference =
-            partition::fm_bipartition_reference(graph, initial, {});
+            oracles::fm_bipartition_reference(graph, initial, {});
         ASSERT_EQ(bucket.side, reference.side);
         ASSERT_DOUBLE_EQ(bucket.cut_weight, reference.cut_weight);
       }
