@@ -8,7 +8,7 @@
 
 namespace gts::cluster {
 
-void Recorder::on_submit(const jobgraph::JobRequest& request) {
+JobRecord submitted_record(const jobgraph::JobRequest& request) {
   JobRecord record;
   record.id = request.id;
   record.nn = request.profile.nn;
@@ -17,8 +17,11 @@ void Recorder::on_submit(const jobgraph::JobRequest& request) {
   record.min_utility = request.min_utility;
   record.arrival = request.arrival_time;
   record.best_solo_time = request.profile.solo_time_pack;
-  index_.emplace(record.id, records_.size());
-  records_.push_back(std::move(record));
+  return record;
+}
+
+void Recorder::on_submit(const jobgraph::JobRequest& request) {
+  import_record(submitted_record(request));
 }
 
 void Recorder::import_record(JobRecord record) {

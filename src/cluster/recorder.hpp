@@ -70,6 +70,9 @@ struct JobRecord {
   }
 };
 
+/// The record of a submitted, not yet placed job (what on_submit stores).
+JobRecord submitted_record(const jobgraph::JobRequest& request);
+
 struct SeriesPoint {
   double t = 0.0;
   double value = 0.0;

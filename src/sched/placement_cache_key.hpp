@@ -1,23 +1,26 @@
 // Placement-cache keys for TopoAwareScheduler::map_onto().
 //
-// The key serializes everything the DRB + utility evaluation depends on
-// besides cluster state: the candidate GPU set and the job's shape. Job id
-// and min_utility are deliberately excluded — the id only feeds
-// co_runners() as a self-exclusion (a queued job is never running), and
-// min_utility only gates the `satisfied` bit, recomputed per request.
+// The key serializes exactly the request fields the DRB + utility
+// evaluation reads besides cluster state: the candidate GPU set, the job's
+// shape and comm graph, and the solo-time anchors of Eq. 4. Job id and
+// min_utility are deliberately excluded — the id only feeds co_runners()
+// as a self-exclusion (a queued job is never running), and min_utility
+// only gates the `satisfied` bit, recomputed per request. Profile fields
+// the evaluation never reads (host bandwidth demand, already applied by
+// host filtering; the spread solo time; the collocation row) are left
+// out too.
 //
-// The production key streams those fields through two independent 64-bit
-// FNV-1a accumulators (128 hash bits total) and carries a cheap equality
-// payload (set size, first/last GPU, job shape) — no per-lookup string
-// allocation. A spurious hit would need a simultaneous collision of both
-// accumulators AND an identical payload; at the cache's size (thousands of
-// entries per allocation epoch) the probability is negligible, and the
-// equivalence suite pins hashed-key decisions to the byte-exact string
-// serialization (kept here as the test oracle) on the seeded 500-job trace.
+// The key streams those fields through two independent 64-bit FNV-1a
+// accumulators (128 hash bits total) and carries a cheap equality payload
+// (set size, first/last GPU, job shape) — no per-lookup allocation. A
+// spurious hit would need a simultaneous collision of both accumulators
+// AND an identical payload; at the cache's size (thousands of entries per
+// allocation epoch) the probability is negligible. tests/perf_path_test.cpp
+// pins key equality to an independent byte serialization of the fields
+// the evaluation reads (tests/oracles/cache_key_reference.hpp).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "jobgraph/jobgraph.hpp"
@@ -43,15 +46,8 @@ struct PlacementCacheKeyHash {
   }
 };
 
-/// The production key: hashed, allocation-free.
+/// The key of (request, available): hashed, allocation-free.
 PlacementCacheKey hashed_placement_cache_key(
     const jobgraph::JobRequest& request, const std::vector<int>& available);
-
-/// The legacy byte-string key over exactly the same fields; retained as
-/// the oracle for tests/perf_path_test.cpp's hashed-vs-string equivalence
-/// run (and selectable via
-/// TopoAwareScheduler::set_string_cache_keys_for_test).
-std::string string_placement_cache_key(const jobgraph::JobRequest& request,
-                                       const std::vector<int>& available);
 
 }  // namespace gts::sched

@@ -108,12 +108,11 @@ void TopoAwareScheduler::refresh_cache_epoch(
   // which feed the utility, so the whole cache is flushed.
   if (cache_state_id_ != state.instance_id() ||
       cache_version_ != state.allocation_version()) {
-    if (!cache_.empty() || !string_cache_.empty()) {
+    if (!cache_.empty()) {
       ++cache_stats_.invalidations;
       GTS_METRIC_COUNT("cache.invalidations", 1);
       GTS_TRACE_INSTANT(obs::kCache, "cache.flush");
       cache_.clear();
-      string_cache_.clear();
     }
     cache_state_id_ = state.instance_id();
     cache_version_ = state.allocation_version();
@@ -132,34 +131,13 @@ std::optional<Placement> TopoAwareScheduler::map_onto(
 
   ++cache_stats_.lookups;
   GTS_METRIC_COUNT("cache.lookups", 1);
-  const auto record = [](const std::optional<Placement>& placement) {
-    CacheEntry entry;
-    entry.mapped = placement.has_value();
-    if (placement) {
-      entry.gpus = placement->gpus;
-      entry.utility = placement->utility;
-    }
-    return entry;
-  };
-
-  if (string_keys_for_test_) {
-    const std::string key = string_placement_cache_key(request, available);
-    if (const auto it = string_cache_.find(key); it != string_cache_.end()) {
-      return replay_cache_entry(it->second, request);
-    }
-    std::optional<Placement> placement =
-        drb_place(request, available, state, utility_, &stats_, memo);
-    string_cache_.emplace(key, record(placement));
-    return placement;
-  }
-
   const PlacementCacheKey key = hashed_placement_cache_key(request, available);
   if (const auto it = cache_.find(key); it != cache_.end()) {
     return replay_cache_entry(it->second, request);
   }
   std::optional<Placement> placement =
       drb_place(request, available, state, utility_, &stats_, memo);
-  cache_.emplace(key, record(placement));
+  cache_.emplace(key, CacheEntry::of(placement));
   return placement;
 }
 
@@ -275,8 +253,7 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     const Candidate* candidate = nullptr;
     bool hit = false;
     CacheEntry entry;             // valid when hit
-    PlacementCacheKey key;        // hashed-key mode, misses
-    std::string string_key;       // string-key oracle mode, misses
+    PlacementCacheKey key;        // valid when the cache is on
     std::optional<Placement> result;  // worker output (miss)
     partition::DrbStats stats;        // worker-local DRB counters (miss)
   };
@@ -290,20 +267,10 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
     if (cache_enabled_) {
       ++cache_stats_.lookups;
       GTS_METRIC_COUNT("cache.lookups", 1);
-      if (string_keys_for_test_) {
-        slot.string_key =
-            string_placement_cache_key(request, slot.candidate->free);
-        if (const auto it = string_cache_.find(slot.string_key);
-            it != string_cache_.end()) {
-          slot.hit = true;
-          slot.entry = it->second;
-        }
-      } else {
-        slot.key = hashed_placement_cache_key(request, slot.candidate->free);
-        if (const auto it = cache_.find(slot.key); it != cache_.end()) {
-          slot.hit = true;
-          slot.entry = it->second;
-        }
+      slot.key = hashed_placement_cache_key(request, slot.candidate->free);
+      if (const auto it = cache_.find(slot.key); it != cache_.end()) {
+        slot.hit = true;
+        slot.entry = it->second;
       }
     }
     if (!slot.hit) misses.push_back(static_cast<int>(i));
@@ -337,29 +304,13 @@ std::optional<Placement> TopoAwareScheduler::place_on_best_machine(
         });
   }
 
-  const auto record = [](const std::optional<Placement>& placement) {
-    CacheEntry entry;
-    entry.mapped = placement.has_value();
-    if (placement) {
-      entry.gpus = placement->gpus;
-      entry.utility = placement->utility;
-    }
-    return entry;
-  };
   std::optional<Placement> best;
   for (Slot& slot : slots) {
     std::optional<Placement> placement;
     if (slot.hit) {
       placement = replay_cache_entry(slot.entry, request);
     } else {
-      if (cache_enabled_) {
-        if (string_keys_for_test_) {
-          string_cache_.emplace(std::move(slot.string_key),
-                                record(slot.result));
-        } else {
-          cache_.emplace(slot.key, record(slot.result));
-        }
-      }
+      if (cache_enabled_) cache_.emplace(slot.key, CacheEntry::of(slot.result));
       stats_.bipartitions += slot.stats.bipartitions;
       stats_.fm_passes += slot.stats.fm_passes;
       stats_.max_depth = std::max(stats_.max_depth, slot.stats.max_depth);

@@ -88,10 +88,7 @@ class TopoAwareScheduler final : public Scheduler {
   void set_placement_cache_enabled(bool enabled) noexcept {
     const util::SerialGuard guard(cache_serial_);
     cache_enabled_ = enabled;
-    if (!enabled) {
-      cache_.clear();
-      string_cache_.clear();
-    }
+    if (!enabled) cache_.clear();
   }
   bool placement_cache_enabled() const noexcept {
     const util::SerialGuard guard(cache_serial_);
@@ -117,16 +114,6 @@ class TopoAwareScheduler final : public Scheduler {
     const util::SerialGuard guard(cache_serial_);
     memo_.reset();
     if (capacity > 0) memo_.emplace(capacity);
-  }
-
-  /// Test seam: key the cache by the legacy byte-string serialization
-  /// instead of the 128-bit FNV-1a key. The equivalence suite runs the
-  /// same trace in both modes and asserts byte-identical decisions.
-  void set_string_cache_keys_for_test(bool enabled) noexcept {
-    const util::SerialGuard guard(cache_serial_);
-    string_keys_for_test_ = enabled;
-    cache_.clear();
-    string_cache_.clear();
   }
 
   /// Parallel candidate scoring (DESIGN.md §17): fan the per-candidate
@@ -178,6 +165,11 @@ class TopoAwareScheduler final : public Scheduler {
     bool mapped = false;
     std::vector<int> gpus;
     double utility = 0.0;
+
+    static CacheEntry of(const std::optional<Placement>& placement) {
+      if (!placement) return {};
+      return {true, placement->gpus, placement->utility};
+    }
   };
 
   /// Replays a cache entry as a fresh placement decision, updating hit
@@ -195,11 +187,8 @@ class TopoAwareScheduler final : public Scheduler {
   // data race.
   mutable util::SerialCapability cache_serial_;
   bool cache_enabled_ GTS_GUARDED_BY(cache_serial_) = true;
-  bool string_keys_for_test_ GTS_GUARDED_BY(cache_serial_) = false;
   std::unordered_map<PlacementCacheKey, CacheEntry, PlacementCacheKeyHash>
       cache_ GTS_GUARDED_BY(cache_serial_);
-  std::unordered_map<std::string, CacheEntry> string_cache_
-      GTS_GUARDED_BY(cache_serial_);  // test oracle
   /// Serial-path bipartition memo; parallel scoring workers run without
   /// one, so it is never touched off the decision thread.
   std::optional<partition::BipartitionMemo> memo_

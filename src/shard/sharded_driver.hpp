@@ -23,11 +23,12 @@
 // the explain JSONL pillar enabled, cells advance serially so decision
 // records keep a deterministic file order.
 //
-// A 1-shard facade does not route at all: every call delegates to a
-// single Driver over the *original* topology object, making the 1-shard
-// configuration literally byte-identical to an unsharded Driver.
+// A 1-shard facade runs the same path as N shards (one extracted cell,
+// its summary, the router); tests/shard_test.cpp pins it to a plain
+// Driver verb for verb.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -119,13 +120,11 @@ class ShardedDriver : public sched::DriverApi {
 
  private:
   struct Cell {
-    /// Heap-held so `graph` and the Driver's topology reference stay
-    /// stable as cells_ grows; null in delegate mode (the original graph
-    /// is used directly).
+    /// Heap-held so the graph the Driver references stays stable as
+    /// cells_ grows.
     std::unique_ptr<CellTopology> topo;
-    const topo::TopologyGraph* graph = nullptr;
     std::unique_ptr<sched::Scheduler> scheduler;
-    std::unique_ptr<CellSummary> summary;  // null in delegate mode
+    std::unique_ptr<CellSummary> summary;
     std::unique_ptr<sched::Driver> driver;
     long long routed = 0;
   };
@@ -136,31 +135,30 @@ class ShardedDriver : public sched::DriverApi {
 
   bool known_id(int job_id) const;
   bool any_cell_fits(const jobgraph::JobRequest& request) const;
-  /// Advances every cell whose clock is behind to `t` (pool-parallel when
-  /// configured and the explain pillar is off).
+  /// Runs `fn` on every cell's driver (pool-parallel when configured and
+  /// the explain pillar is off).
+  void for_each_cell(const std::function<void(sched::Driver&)>& fn);
+  /// Advances every cell whose clock is behind to `t`.
   void advance_cells_to(double t);
   /// Routes one arrival batch: all pending jobs with arrival time `ta`,
   /// in submission order. Cells are first advanced to `ta` (so summaries
   /// reflect completions up to the arrival), each job is routed and
-  /// submitted to its cell, then cells advance to `ta` again to fire the
-  /// just-scheduled arrival events.
+  /// submitted to its cell, then the cells fire the just-scheduled
+  /// arrival events.
   void route_batch(double ta, std::vector<PendingJob> batch);
   /// Extracts, groups by arrival, and routes every pending arrival <= t.
   void route_pending_until(double t);
   int route_one(const jobgraph::JobRequest& request);
-  /// Translates cell-local GPU ids to global ids (identity in delegate
-  /// mode).
+  /// Translates cell-local GPU ids to global ids.
   std::vector<int> to_global(const Cell& cell,
                              std::span<const int> gpus) const;
   cluster::JobRecord translated_record(const Cell& cell,
                                        const cluster::JobRecord& record) const;
   sched::DriverReport merged_report() const;
 
-  const topo::TopologyGraph& topology_;
   const perf::DlWorkloadModel& model_;
   ShardedOptions options_;
   std::vector<Cell> cells_;
-  bool delegate_ = false;  // 1-shard: forward everything to cells_[0]
   double now_ = 0.0;
   bool draining_ = false;
   long long seq_counter_ = 0;

@@ -97,10 +97,10 @@ TEST(GoldenTest, Fig8PrototypeMatchesGoldenFile) {
 }
 
 // The decision-path rewrites (bucket FM, incremental TaskUtility, hashed
-// cache keys) must reproduce the pinned fig8 schedule through every cache
-// configuration: hashed keys (the default, covered above via
-// fig8_payload), the legacy string keys, and no cache at all. A drift here
-// means the "pure optimization" contract broke for the golden workload.
+// cache keys) must reproduce the pinned fig8 schedule with the placement
+// cache on (the default, also covered above via fig8_payload) and off. A
+// drift here means the "pure optimization" contract broke for the golden
+// workload.
 TEST(GoldenTest, Fig8ScheduleStableAcrossCacheKeyModes) {
   const std::string path = std::string(GTS_GOLDEN_DIR) + "/fig8.json";
   const auto golden = json::parse_file(path);
@@ -115,10 +115,9 @@ TEST(GoldenTest, Fig8ScheduleStableAcrossCacheKeyModes) {
     const char* policy = postpone ? "TOPO-AWARE-P" : "TOPO-AWARE";
     const json::Value& want =
         golden->at("policies").at(policy).at("jobs");
-    for (const int mode : {0, 1, 2}) {  // hashed / string keys / no cache
+    for (const bool cached : {true, false}) {
       sched::TopoAwareScheduler scheduler({}, postpone);
-      if (mode == 1) scheduler.set_string_cache_keys_for_test(true);
-      if (mode == 2) scheduler.set_placement_cache_enabled(false);
+      scheduler.set_placement_cache_enabled(cached);
       sched::DriverOptions options;
       options.record_series = false;
       sched::Driver driver(minsky, model, scheduler, options);
@@ -126,12 +125,12 @@ TEST(GoldenTest, Fig8ScheduleStableAcrossCacheKeyModes) {
 
       const json::Array& expected_jobs = want.as_array();
       ASSERT_EQ(report.recorder.records().size(), expected_jobs.size())
-          << policy << " mode " << mode;
+          << policy << " cached=" << cached;
       for (size_t i = 0; i < expected_jobs.size(); ++i) {
         const json::Value& expected = expected_jobs[i];
         const cluster::JobRecord& record = report.recorder.records()[i];
-        const std::string where = std::string(policy) + " mode " +
-                                  std::to_string(mode) + " job " +
+        const std::string where = std::string(policy) + " cached=" +
+                                  std::to_string(cached) + " job " +
                                   std::to_string(i);
         EXPECT_EQ(record.id, expected.at("id").as_int()) << where;
         const json::Array& gpus = expected.at("gpus").as_array();

@@ -78,20 +78,24 @@ std::string read_file(const std::string& path) {
 /// documented wall-clock field in explain records (obs/explain.hpp) — it
 /// measures the place() call, so it varies between any two runs, serial
 /// or not. Everything else must match byte-for-byte.
-std::string mask_decision_us(std::string bytes) {
+std::string mask_decision_us(const std::string& bytes) {
   const std::string key = "\"decision_us\":";
+  std::string masked;
+  masked.reserve(bytes.size());
   size_t pos = 0;
-  while ((pos = bytes.find(key, pos)) != std::string::npos) {
-    const size_t value_begin = pos + key.size();
+  size_t hit = 0;
+  while ((hit = bytes.find(key, pos)) != std::string::npos) {
+    const size_t value_begin = hit + key.size();
     size_t value_end = value_begin;
     while (value_end < bytes.size() && bytes[value_end] != ',' &&
            bytes[value_end] != '}') {
       ++value_end;
     }
-    bytes.replace(value_begin, value_end - value_begin, "0");
-    pos = value_begin;
+    masked.append(bytes, pos, value_begin - pos).append("0");
+    pos = value_end;
   }
-  return bytes;
+  masked.append(bytes, pos, std::string::npos);
+  return masked;
 }
 
 // The headline differential: a seeded 500-job trace on an 8-machine

@@ -5,25 +5,29 @@
 //   * bucket-list FM == the std::set reference, side-for-side, on 200
 //     random graphs x 8 seeds (plus degenerate shapes), with one FmScratch
 //     arena reused across all calls and hammered from multiple threads;
-//   * TaskUtility's incremental side aggregates == recomputing every
-//     factor from scratch, to 1e-9, across random bipartitions of a live
-//     cluster;
-//   * the hashed placement-cache key == the legacy byte-string key,
-//     decision-for-decision, on the seeded 500-job regression trace.
+//   * TaskUtility's per-bipartition side aggregates == its recompute
+//     fallback for GPU vectors begin_bipartition did not announce, to
+//     1e-9, across random bipartitions of a live cluster;
+//   * placement-cache key equality == equality of an independent byte
+//     serialization of every field the evaluation reads
+//     (tests/oracles/cache_key_reference.hpp), over the seeded 500-job
+//     trace and one-field perturbations of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "cluster/recorder.hpp"
+#include "oracles/cache_key_reference.hpp"
 #include "oracles/fm_reference.hpp"
 #include "partition/drb.hpp"
 #include "partition/fm.hpp"
 #include "perf/model.hpp"
 #include "perf/profile.hpp"
-#include "sched/driver.hpp"
+#include "sched/placement_cache_key.hpp"
 #include "sched/task_utility.hpp"
 #include "sched/topo_aware.hpp"
 #include "topo/builders.hpp"
@@ -176,7 +180,7 @@ TEST(FmBucketListTest, ConcurrentScratchReuseIsRaceFree) {
   for (std::thread& worker : workers) worker.join();
 }
 
-// --- incremental TaskUtility aggregates vs. recompute-from-scratch ---------
+// --- cached TaskUtility aggregates vs. the recompute fallback -------------
 
 /// A cluster with enough running jobs that interference and fragmentation
 /// terms are non-trivial for later candidates.
@@ -241,12 +245,11 @@ TEST(TaskUtilityIncrementalTest, MatchesScratchRecomputeOnRandomBipartitions) {
     }
     const partition::BipartitionView view{gpus0, gpus1, tasks0, tasks1};
 
-    const sched::TaskUtility incremental(request, cluster.state, model,
-                                         /*incremental=*/true);
-    const sched::TaskUtility scratch(request, cluster.state, model,
-                                     /*incremental=*/false);
+    // `scratch` never sees begin_bipartition, so every call takes the
+    // recompute-from-scratch fallback.
+    const sched::TaskUtility incremental(request, cluster.state, model);
+    const sched::TaskUtility scratch(request, cluster.state, model);
     incremental.begin_bipartition(gpus0, gpus1);
-    scratch.begin_bipartition(gpus0, gpus1);
 
     for (int task = routed; task < task_count; ++task) {
       for (const int side : {0, 1}) {
@@ -279,13 +282,12 @@ TEST(TaskUtilityIncrementalTest, CacheInvalidatesAcrossBipartitions) {
   const partition::BipartitionView ba{b, a, no_tasks, no_tasks};
   const partition::BipartitionView ac{a, c, no_tasks, no_tasks};
 
-  const sched::TaskUtility incremental(request, cluster.state, model, true);
-  const sched::TaskUtility scratch(request, cluster.state, model, false);
+  const sched::TaskUtility incremental(request, cluster.state, model);
+  const sched::TaskUtility scratch(request, cluster.state, model);
 
   for (const auto* step :
        {&ab, &ba, &ac, &ab, &ab, &ac, &ba}) {
     incremental.begin_bipartition(step->gpus0, step->gpus1);
-    scratch.begin_bipartition(step->gpus0, step->gpus1);
     for (int task = 0; task < task_count; ++task) {
       for (const int side : {0, 1}) {
         EXPECT_NEAR(incremental.task_utility(task, side, *step),
@@ -295,80 +297,235 @@ TEST(TaskUtilityIncrementalTest, CacheInvalidatesAcrossBipartitions) {
   }
 }
 
-// --- hashed cache key vs. the legacy byte-string key -----------------------
+// --- placement-cache key vs. an independent reference serialization ------
 
-std::vector<jobgraph::JobRequest> seeded_trace(
-    const perf::DlWorkloadModel& model, const topo::TopologyGraph& topology,
-    int jobs, std::uint64_t seed) {
-  trace::GeneratorOptions options;
-  options.job_count = jobs;
-  options.seed = seed;
-  return trace::generate_workload(options, model, topology);
+/// One (request, available) pair of the key corpus. `reads` says whether
+/// the evaluation reads the field this probe perturbed (base probes: true).
+struct KeyProbe {
+  jobgraph::JobRequest request;
+  std::vector<int> available;
+  std::string label;
+  bool reads = true;
+};
+
+std::vector<int> random_subset(std::vector<int> pool, size_t size,
+                               util::Rng& rng) {
+  rng.shuffle(pool);
+  pool.resize(size);
+  std::sort(pool.begin(), pool.end());
+  return pool;
 }
 
-sched::DriverReport run_trace(const topo::TopologyGraph& topology,
-                              const perf::DlWorkloadModel& model,
-                              sched::TopoAwareScheduler& scheduler,
-                              const std::vector<jobgraph::JobRequest>& jobs) {
-  sched::DriverOptions options;
-  options.record_series = false;
-  sched::Driver driver(topology, model, scheduler, options);
-  return driver.run(jobs);
-}
-
-void expect_identical_records(const cluster::Recorder& hashed,
-                              const cluster::Recorder& string_keyed) {
-  ASSERT_EQ(hashed.records().size(), string_keyed.records().size());
-  for (size_t i = 0; i < hashed.records().size(); ++i) {
-    const cluster::JobRecord& a = hashed.records()[i];
-    const cluster::JobRecord& b = string_keyed.records()[i];
-    EXPECT_EQ(a.id, b.id) << "record " << i;
-    EXPECT_EQ(a.gpus, b.gpus) << "record " << i;
-    EXPECT_DOUBLE_EQ(a.start, b.start) << "record " << i;
-    EXPECT_DOUBLE_EQ(a.end, b.end) << "record " << i;
-    EXPECT_DOUBLE_EQ(a.placement_utility, b.placement_utility)
-        << "record " << i;
-    EXPECT_EQ(a.p2p, b.p2p) << "record " << i;
+jobgraph::JobGraph graph_with_edges(
+    int task_count, const std::vector<jobgraph::CommEdge>& edges) {
+  jobgraph::JobGraph graph(task_count);
+  for (const jobgraph::CommEdge& edge : edges) {
+    graph.add_edge(edge.a, edge.b, edge.weight);
   }
+  return graph;
 }
 
-// The 128-bit FNV-1a key plus equality payload must reproduce the string
-// key's decisions exactly on the seeded 500-job regression trace — same
-// GPUs, times and utilities job by job, same hit statistics, for both
-// postponement modes.
-TEST(HashedCacheKeyTest, MatchesStringKeyDecisionsOn500JobTrace) {
+/// Copies of `base`, each differing from it in exactly one field: every
+/// profile field, the request fields, the task count, each endpoint and
+/// weight of each comm edge, and each GPU of the available set.
+std::vector<KeyProbe> one_field_perturbations(const KeyProbe& base,
+                                              int gpu_count) {
+  using jobgraph::JobRequest;
+  std::vector<KeyProbe> out;
+  const auto variant = [&](const std::string& field, bool reads,
+                           const auto& mutate) {
+    KeyProbe probe = base;
+    probe.label = base.label + " " + field;
+    probe.reads = reads;
+    mutate(probe.request, probe.available);
+    out.push_back(std::move(probe));
+  };
+  using Gpus = std::vector<int>;
+
+  variant("id", false, [](JobRequest& r, Gpus&) { r.id += 100000; });
+  variant("arrival_time", false,
+          [](JobRequest& r, Gpus&) { r.arrival_time += 1.0; });
+  variant("min_utility", false,
+          [](JobRequest& r, Gpus&) { r.min_utility += 0.25; });
+  variant("num_gpus", true, [](JobRequest& r, Gpus&) { ++r.num_gpus; });
+  variant("iterations", true, [](JobRequest& r, Gpus&) { ++r.iterations; });
+
+  variant("nn", true, [](JobRequest& r, Gpus&) {
+    r.profile.nn = static_cast<jobgraph::NeuralNet>(
+        (static_cast<int>(r.profile.nn) + 1) % 3);
+  });
+  variant("batch", true, [](JobRequest& r, Gpus&) {
+    r.profile.batch = static_cast<jobgraph::BatchClass>(
+        (static_cast<int>(r.profile.batch) + 1) % jobgraph::kBatchClassCount);
+  });
+  variant("batch_size", true,
+          [](JobRequest& r, Gpus&) { ++r.profile.batch_size; });
+  variant("comm_weight", true,
+          [](JobRequest& r, Gpus&) { r.profile.comm_weight += 0.5; });
+  variant("solo_time_pack", true,
+          [](JobRequest& r, Gpus&) { r.profile.solo_time_pack += 1.0; });
+  variant("solo_time_spread", false,
+          [](JobRequest& r, Gpus&) { r.profile.solo_time_spread += 1.0; });
+  for (int c = 0; c < jobgraph::kBatchClassCount; ++c) {
+    variant("collocation_slowdown[" + std::to_string(c) + "]", false,
+            [c](JobRequest& r, Gpus&) {
+              r.profile.collocation_slowdown[static_cast<size_t>(c)] += 0.01;
+            });
+  }
+  variant("host_bw_demand_gbps", false,
+          [](JobRequest& r, Gpus&) { r.profile.host_bw_demand_gbps += 1.0; });
+  variant("single_node", true, [](JobRequest& r, Gpus&) {
+    r.profile.single_node = !r.profile.single_node;
+  });
+  variant("anti_collocate", true, [](JobRequest& r, Gpus&) {
+    r.profile.anti_collocate = !r.profile.anti_collocate;
+  });
+
+  const int tasks = base.request.comm_graph.task_count();
+  const std::vector<jobgraph::CommEdge>& edges =
+      base.request.comm_graph.edges();
+  variant("task_count", true, [&](JobRequest& r, Gpus&) {
+    r.comm_graph = graph_with_edges(tasks + 1, edges);
+  });
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const jobgraph::CommEdge edge = edges[e];
+    const auto with_edge = [&](jobgraph::CommEdge replacement) {
+      return [&edges, tasks, e, replacement](JobRequest& r, Gpus&) {
+        std::vector<jobgraph::CommEdge> changed = edges;
+        changed[e] = replacement;
+        r.comm_graph = graph_with_edges(tasks, changed);
+      };
+    };
+    const std::string name = "edge[" + std::to_string(e) + "]";
+    variant(name + ".weight", true,
+            with_edge({edge.a, edge.b, edge.weight + 1.0}));
+    // Endpoints move one at a time and stay normalized (a < b).
+    for (int a = 0; a < edge.b; ++a) {
+      if (a == edge.a) continue;
+      variant(name + ".a", true, with_edge({a, edge.b, edge.weight}));
+      break;
+    }
+    for (int b = edge.a + 1; b < tasks; ++b) {
+      if (b == edge.b) continue;
+      variant(name + ".b", true, with_edge({edge.a, b, edge.weight}));
+      break;
+    }
+  }
+
+  int unused = 0;
+  while (std::count(base.available.begin(), base.available.end(), unused)) {
+    ++unused;
+  }
+  for (size_t g = 0; g < base.available.size(); ++g) {
+    if (unused >= gpu_count) break;
+    variant("gpu[" + std::to_string(g) + "]", true,
+            [g, unused](JobRequest&, Gpus& a) { a[g] = unused; });
+  }
+  variant("gpu dropped", true, [](JobRequest&, Gpus& a) { a.pop_back(); });
+  return out;
+}
+
+// Production key equality must coincide with equality of the reference
+// serialization: over the seeded trace x random GPU sets (equal keys
+// across distinct jobs), and for each one-field perturbation (a field
+// the production stream drops shows up as a key that fails to change).
+TEST(CacheKeyOracleTest, KeyEqualityMatchesReferenceOn500JobTrace) {
   const topo::TopologyGraph topology =
       topo::builders::cluster(5, MachineShape::kPower8Minsky);
   const perf::DlWorkloadModel model(perf::CalibrationParams::paper_minsky());
-  const auto jobs = seeded_trace(model, topology, 500, /*seed=*/20260806);
+  trace::GeneratorOptions options;
+  options.job_count = 500;
+  options.seed = 20260806;
+  const auto jobs = trace::generate_workload(options, model, topology);
+  ASSERT_EQ(jobs.size(), 500u);
 
-  for (const bool postpone : {false, true}) {
-    sched::TopoAwareScheduler hashed({}, postpone);
-    const sched::DriverReport hashed_report =
-        run_trace(topology, model, hashed, jobs);
+  // Per job: a subset of one machine's GPUs (the per-machine candidate
+  // sets place_on_best_machine probes) and a subset of the whole cluster.
+  util::Rng rng(20260806);
+  std::vector<int> all_gpus(static_cast<size_t>(topology.gpu_count()));
+  for (int g = 0; g < topology.gpu_count(); ++g) {
+    all_gpus[static_cast<size_t>(g)] = g;
+  }
+  std::vector<KeyProbe> bases;
+  for (const jobgraph::JobRequest& job : jobs) {
+    const size_t need = static_cast<size_t>(job.num_gpus);
+    const int machine =
+        static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(
+            topology.machine_count())));
+    const std::vector<int> machine_gpus = topology.gpus_of_machine(machine);
+    if (machine_gpus.size() >= need) {
+      const size_t size =
+          need + rng.uniform_int(machine_gpus.size() - need + 1);
+      bases.push_back({job, random_subset(machine_gpus, size, rng),
+                       "job " + std::to_string(job.id) + " machine set"});
+    }
+    const size_t size = need + rng.uniform_int(all_gpus.size() - need + 1);
+    bases.push_back({job, random_subset(all_gpus, size, rng),
+                     "job " + std::to_string(job.id) + " cluster set"});
+  }
 
-    sched::TopoAwareScheduler string_keyed({}, postpone);
-    string_keyed.set_string_cache_keys_for_test(true);
-    const sched::DriverReport string_report =
-        run_trace(topology, model, string_keyed, jobs);
+  std::vector<std::string> mismatches;
+  const auto mismatch = [&mismatches](const std::string& what) {
+    if (mismatches.size() < 20) mismatches.push_back(what);
+  };
+  std::unordered_map<std::string, sched::PlacementCacheKey> key_of_reference;
+  std::unordered_map<sched::PlacementCacheKey, std::string,
+                     sched::PlacementCacheKeyHash>
+      reference_of_key;
+  long long shared_bases = 0;
+  long long perturbations = 0;
+  const auto check_corpus = [&](const KeyProbe& probe,
+                                const sched::PlacementCacheKey& key,
+                                const std::string& reference) {
+    const auto [by_ref, new_ref] = key_of_reference.emplace(reference, key);
+    if (!new_ref && !(by_ref->second == key)) {
+      mismatch(probe.label + ": equal reference, different key");
+    }
+    const auto [by_key, new_key] = reference_of_key.emplace(key, reference);
+    if (!new_key && by_key->second != reference) {
+      mismatch(probe.label + ": equal key, different reference");
+    }
+    return !new_ref;
+  };
 
-    ASSERT_EQ(hashed_report.recorder.records().size(), 500u);
-    expect_identical_records(hashed_report.recorder, string_report.recorder);
-    EXPECT_EQ(hashed_report.recorder.slo_violations(),
-              string_report.recorder.slo_violations());
+  for (const KeyProbe& base : bases) {
+    const sched::PlacementCacheKey base_key =
+        sched::hashed_placement_cache_key(base.request, base.available);
+    const std::string base_reference =
+        oracles::cache_key_reference(base.request, base.available);
+    if (check_corpus(base, base_key, base_reference)) ++shared_bases;
 
-    // Both key schemes must see the same cache traffic: same lookups and
-    // the same hits (a diverging hit count would mean a collision or a
-    // dropped field in one of the keys).
-    EXPECT_EQ(hashed.cache_stats().lookups,
-              string_keyed.cache_stats().lookups)
-        << "postpone=" << postpone;
-    EXPECT_EQ(hashed.cache_stats().hits, string_keyed.cache_stats().hits)
-        << "postpone=" << postpone;
-    if (postpone) {
-      EXPECT_GT(hashed.cache_stats().hits, 0);
+    for (const KeyProbe& probe :
+         one_field_perturbations(base, topology.gpu_count())) {
+      ++perturbations;
+      const sched::PlacementCacheKey key =
+          sched::hashed_placement_cache_key(probe.request, probe.available);
+      const std::string reference =
+          oracles::cache_key_reference(probe.request, probe.available);
+      const bool reference_equal = reference == base_reference;
+      if (reference_equal == probe.reads) {
+        mismatch(probe.label + ": reference " +
+                 (probe.reads ? "ignores a field the evaluation reads"
+                              : "covers a field the evaluation ignores"));
+      }
+      if ((key == base_key) != reference_equal) {
+        mismatch(probe.label + (reference_equal
+                                    ? ": key changed, reference did not"
+                                    : ": reference changed, key did not"));
+      }
+      check_corpus(probe, key, reference);
     }
   }
+
+  EXPECT_TRUE(mismatches.empty()) << [&mismatches] {
+    std::string joined;
+    for (const std::string& line : mismatches) joined += "\n  " + line;
+    return joined;
+  }();
+  // The corpus must exercise both directions: distinct jobs that share a
+  // key, and a few thousand single-field differences.
+  EXPECT_GT(shared_bases, 0);
+  EXPECT_GT(perturbations, 10000);
 }
 
 }  // namespace

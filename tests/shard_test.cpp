@@ -3,19 +3,23 @@
 // The load-bearing guarantees of src/shard/ are all *relative* to the
 // unsharded sched::Driver, so nearly every test here is differential:
 //   * cell extraction preserves machine/GPU structure and id mappings;
-//   * a 1-shard ShardedDriver is byte-identical to a plain Driver on the
-//     Fig. 8 prototype workload and on a 500-job generated trace;
+//   * a 1-shard ShardedDriver — the same extract/summary/route path as N
+//     shards — is byte-identical to a plain Driver on the Fig. 8
+//     prototype workload, on a 500-job generated trace, and verb for verb
+//     through a submit/cancel/drain/advance script;
 //   * an N-shard run is byte-identical for --shard-threads {1, 2, 8};
 //   * the router's Filter stage is sound: it never rejects a shard the
 //     full scheduler would have placed the job into (checked over seeded
 //     random occupancy patterns);
 //   * a sharded ServiceCore snapshot restores and re-snapshots
-//     byte-identically, and the continuation matches the uninterrupted
-//     run verb-for-verb.
+//     byte-identically (also when the shard count clamps to one cell),
+//     and the continuation matches the uninterrupted run verb-for-verb.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -73,6 +77,32 @@ void expect_identical_recorders(const cluster::Recorder& got,
     ASSERT_NE(other, nullptr) << label << " missing job " << record.id;
     expect_identical_record(*other, record, label);
   }
+}
+
+cluster::Recorder recorder_of(const sched::DriverApi& api) {
+  cluster::Recorder recorder;
+  api.visit_records([&recorder](const cluster::JobRecord& record) {
+    recorder.import_record(record);
+    return true;
+  });
+  return recorder;
+}
+
+/// Every observable the verb script checks after each verb. Records are
+/// matched by id: DriverApi documents (arrival, id) order for the facade
+/// and submission order for a Driver.
+void expect_same_observables(const sched::DriverApi& got,
+                             const sched::DriverApi& want,
+                             const std::string& label) {
+  expect_identical_recorders(recorder_of(got), recorder_of(want), label);
+  EXPECT_EQ(got.counters().rejected_jobs, want.counters().rejected_jobs)
+      << label;
+  EXPECT_EQ(got.queue_depth(), want.queue_depth()) << label;
+  EXPECT_EQ(got.pending_count(), want.pending_count()) << label;
+  EXPECT_EQ(got.running_job_count(), want.running_job_count()) << label;
+  EXPECT_EQ(got.free_gpu_count(), want.free_gpu_count()) << label;
+  EXPECT_EQ(got.now(), want.now()) << label;
+  EXPECT_EQ(got.idle(), want.idle()) << label;
 }
 
 // --- cell extraction --------------------------------------------------------
@@ -182,6 +212,99 @@ TEST_F(ShardDifferentialTest, OneShardMatchesDriverOn500JobTrace) {
   expect_identical_recorders(got.recorder, want.recorder, "trace500");
   EXPECT_EQ(got.decision_count, want.decision_count);
   EXPECT_EQ(got.rejected_jobs, want.rejected_jobs);
+}
+
+// The 1-shard facade against a plain Driver, one verb at a time: admission
+// edge cases, a cancel in every job state, drain, and clock moves that
+// land exactly on arrival and completion timestamps.
+TEST_F(ShardDifferentialTest, OneShardMatchesDriverVerbForVerb) {
+  const topo::TopologyGraph topology = topo::builders::make_cluster(
+      2, 4, MachineShape::kPower8Minsky);
+  const auto scheduler = sched::make_scheduler(sched::Policy::kTopoAwareP);
+  sched::Driver plain(topology, model_, *scheduler);
+  ShardedOptions options;
+  options.shards = 1;
+  ShardedDriver sharded(topology, model_, options);
+  ASSERT_EQ(sharded.shard_count(), 1);
+  const std::vector<sched::DriverApi*> drivers = {&plain, &sharded};
+
+  int step = 0;
+  const auto check = [&](const std::string& verb) {
+    expect_same_observables(
+        sharded, plain, "step " + std::to_string(++step) + " " + verb);
+  };
+  const auto job = [this, &topology](int id, double arrival, int gpus) {
+    return perf::make_profiled_dl(id, arrival, NeuralNet::kAlexNet, 4, gpus,
+                                  0.3, model_, topology, /*iterations=*/600);
+  };
+  const auto submit = [&](const JobRequest& request,
+                          sched::SubmitResult want) {
+    for (sched::DriverApi* driver : drivers) {
+      EXPECT_EQ(driver->submit(request), want) << "job " << request.id;
+    }
+    check("submit " + std::to_string(request.id));
+  };
+  const auto cancel = [&](int id, bool want) {
+    for (sched::DriverApi* driver : drivers) {
+      EXPECT_EQ(driver->cancel(id), want) << "cancel " << id;
+    }
+    check("cancel " + std::to_string(id));
+  };
+  const auto advance_to = [&](double t) {
+    for (sched::DriverApi* driver : drivers) driver->advance_to(t);
+    check("advance_to " + std::to_string(t));
+  };
+  // The earliest stored finish time among running jobs, from the same
+  // expression ClusterState uses to arm completions.
+  const auto next_completion = [&plain]() {
+    double next = std::numeric_limits<double>::infinity();
+    plain.visit_running([&next](const sched::RunningJobView& view) {
+      const double remaining = std::max(
+          0.0, static_cast<double>(view.request->iterations) -
+                   view.progress_iterations);
+      next = std::min(next, view.last_update + remaining / view.rate);
+      return true;
+    });
+    return next;
+  };
+
+  using sched::SubmitResult;
+  submit(job(1, 0.0, 4), SubmitResult::kAccepted);
+  submit(job(2, 0.0, 4), SubmitResult::kAccepted);
+  submit(job(3, 2.0, 2), SubmitResult::kAccepted);
+  submit(job(4, 50.0, 1), SubmitResult::kAccepted);
+  submit(job(2, 0.0, 1), SubmitResult::kDuplicate);
+  submit(job(5, 0.0, 8), SubmitResult::kNeverFits);  // single-node, 4/machine
+  advance_to(0.0);  // jobs 1 and 2 arrive and fill the cluster
+  advance_to(2.0);  // job 3 arrives and queues
+  ASSERT_EQ(plain.queue_depth(), 1);
+  submit(job(6, 1.0, 1), SubmitResult::kAccepted);  // arrival in the past
+  ASSERT_EQ(plain.pending_count(), 2);
+  advance_to(2.0);  // job 6 arrives at the clamped timestamp
+  cancel(4, true);  // pending
+  cancel(3, true);  // queued
+  cancel(1, true);  // running; job 6 takes the freed GPUs
+  cancel(99, false);
+  ASSERT_EQ(plain.running_job_count(), 2);
+
+  for (int completions = 0; completions < 2; ++completions) {
+    const double t = next_completion();
+    ASSERT_TRUE(std::isfinite(t));
+    advance_to(t);
+    bool finished_at_t = false;
+    plain.visit_records([&finished_at_t, t](const cluster::JobRecord& r) {
+      finished_at_t = finished_at_t || (r.finished() && r.end == t);
+      return true;
+    });
+    EXPECT_TRUE(finished_at_t) << "no completion fired at " << t;
+  }
+
+  for (sched::DriverApi* driver : drivers) driver->drain();
+  EXPECT_TRUE(sharded.draining());
+  submit(job(7, plain.now(), 1), SubmitResult::kDraining);
+  EXPECT_EQ(sharded.advance_all(), plain.advance_all());
+  check("advance_all");
+  EXPECT_TRUE(sharded.idle());
 }
 
 // --- shard-thread determinism -----------------------------------------------
@@ -401,6 +524,35 @@ TEST_F(ShardedServiceTest, SnapshotRestoreReSnapshotsByteIdentically) {
               encode(restored.handle(make_request(70 + i, "status", params))))
         << "job " << i << " diverged after restore";
   }
+}
+
+// More shards than machines clamps to one cell: the facade still runs,
+// and its snapshot restores and re-snapshots byte-identically.
+TEST_F(ShardedServiceTest, ClampedToOneCellSnapshotRoundTrips) {
+  topology_ = topo::builders::power8_minsky();
+  svc::ServiceCore original = make_core(/*shards=*/2);
+  ASSERT_EQ(original.driver().shard_count(), 1);
+  for (int i = 1; i <= 6; ++i) {
+    ASSERT_TRUE(submit(original, job(i, 1.5 * i, 1 + (i % 2)), i).ok);
+  }
+  json::Value advance_params;
+  advance_params.set("to", 6.0);
+  ASSERT_TRUE(
+      original.handle(make_request(50, "advance", advance_params)).ok);
+  ASSERT_GT(original.driver().running_job_count(), 0);
+  ASSERT_GT(original.driver().pending_count(), 0);
+
+  const svc::Response snap = original.handle(make_request(51, "snapshot"));
+  ASSERT_TRUE(snap.ok) << snap.message;
+  const json::Value snapshot = snap.result.at("snapshot");
+  ASSERT_TRUE(svc::validate_snapshot_json(snapshot));
+
+  svc::ServiceCore restored = make_core(/*shards=*/2);
+  const auto status = restored.restore_json(snapshot);
+  ASSERT_TRUE(status) << status.error().message;
+  ASSERT_TRUE(restored.driver().validate());
+  EXPECT_EQ(json::write(restored.snapshot_json(), {.indent = 2}),
+            json::write(snapshot, {.indent = 2}));
 }
 
 TEST_F(ShardedServiceTest, ShardsVerbReportsEveryCell) {
